@@ -38,13 +38,11 @@ type Config struct {
 	// compile-only, so Shots/Mitigate are forced off and Noise is left to
 	// the per-device ground truth.
 	Pipeline pipeline.Config
-	// CacheBytes bounds the in-memory artifact cache (DefaultCacheBytes
-	// when 0).
-	CacheBytes int64
-	// RespCacheBytes bounds the encoded-response tier in front of the
-	// artifact cache (DefaultRespCacheBytes when 0). Negative disables the
-	// tier and the request→fingerprint memo with it — every request then
-	// pays parse + canonicalize + marshal as it did before the tier existed.
+	// CacheBytes and RespCacheBytes add up to the memory tier's one byte
+	// budget, shared by artifacts, encoded replies and memo keys:
+	// CacheBytes (DefaultCacheBytes when <= 0) plus RespCacheBytes
+	// (DefaultRespCacheBytes when 0, nothing when negative).
+	CacheBytes     int64
 	RespCacheBytes int64
 	// StoreDir, when non-empty, enables the persistent disk tier below the
 	// memory cache: artifacts spill to one checksummed file each, so a
@@ -230,9 +228,9 @@ type CompileResponse struct {
 
 	// encoded, when set, is the response's exact JSON wire form (trailing
 	// newline included): the HTTP layer writes it verbatim with a
-	// Content-Length instead of re-marshalling. Responses served out of the
-	// response-bytes tier are shared between requests and must be treated
-	// as immutable by everything downstream of compile.
+	// Content-Length instead of re-marshalling. Replies served out of the
+	// memory tier are shared between requests and must be treated as
+	// immutable by everything downstream of compile.
 	encoded []byte
 }
 
@@ -310,9 +308,8 @@ type Stats struct {
 	// Self is this daemon's ring identity.
 	Self string   `json:"self,omitempty"`
 	Ring []string `json:"ring,omitempty"`
-	// Cache describes the memory tier; RespCache the encoded-response tier
-	// in front of it; Store the disk tier (nil when the daemon runs
-	// memory-only).
+	// Cache describes the memory tier; RespCache its reply and memo
+	// counters; Store the disk tier (nil when the daemon runs memory-only).
 	Cache     CacheStats     `json:"cache"`
 	RespCache RespCacheStats `json:"resp_cache"`
 	Store     *StoreStats    `json:"store,omitempty"`
@@ -322,18 +319,15 @@ type Stats struct {
 	Text string `json:"text"`
 }
 
-// Server is the compilation service: a two-tier content-addressed artifact
-// cache (memory LRU over a persistent disk store) in front of per-device
-// compilation pipelines, with consistent-hash routing across peer daemons,
-// singleflight collapse of concurrent identical requests and a
-// SolvePool-backed admission queue for cold compiles. All methods are safe
-// for concurrent use.
+// Server is the compilation service: a two-tier content-addressed cache
+// (a memory LRU of artifacts and replies over a persistent disk store) in
+// front of per-device compilation pipelines, with consistent-hash routing
+// across peer daemons, singleflight collapse of concurrent identical
+// requests and a SolvePool-backed admission queue for cold compiles. All
+// methods are safe for concurrent use.
 type Server struct {
 	cfg     Config
 	cache   *Cache
-	resp    *respCache    // nil when Config.RespCacheBytes < 0
-	memo    *fpMemo       // nil when Config.RespCacheBytes < 0
-	heat    peerHeat      // peer-hit counts driving non-owner reply replication
 	store   ArtifactStore // nil when Config.StoreDir is empty
 	ring    *Ring         // nil in single-node mode
 	client  *http.Client
@@ -470,7 +464,7 @@ func New(cfg Config) (*Server, error) {
 	ctx, cancel := context.WithCancel(context.Background())
 	s := &Server{
 		cfg:       cfg,
-		cache:     NewCache(cfg.CacheBytes),
+		cache:     NewCache(memoryBudget(cfg)),
 		client:    &http.Client{Transport: transport},
 		admit:     core.NewSolvePool(cfg.MaxConcurrent),
 		started:   time.Now(),
@@ -480,10 +474,6 @@ func New(cfg Config) (*Server, error) {
 		breakers:  map[string]*Breaker{},
 		peerConns: map[string]*peerConnCounters{},
 		jitter:    rand.New(rand.NewSource(time.Now().UnixNano())),
-	}
-	if cfg.RespCacheBytes >= 0 {
-		s.resp = newRespCache(cfg.RespCacheBytes)
-		s.memo = newFpMemo(0)
 	}
 	s.defKey = engineKey(cfg.Spec, cfg.Seed, cfg.Day)
 	eng, err := s.engine(cfg.Spec, cfg.Seed, cfg.Day)
@@ -518,6 +508,22 @@ func New(cfg Config) (*Server, error) {
 		s.triggerPrewarm("join")
 	}
 	return s, nil
+}
+
+// memoryBudget is the memory tier's byte bound: the artifact and reply
+// shares of the configuration, defaulted and summed.
+func memoryBudget(cfg Config) int64 {
+	art, reply := cfg.CacheBytes, cfg.RespCacheBytes
+	if art <= 0 {
+		art = DefaultCacheBytes
+	}
+	switch {
+	case reply == 0:
+		reply = DefaultRespCacheBytes
+	case reply < 0:
+		reply = 0
+	}
+	return art + reply
 }
 
 // maxEngines bounds the per-device pipeline map: requests may name
@@ -703,34 +709,18 @@ func (s *Server) compile(ctx context.Context, req CompileRequest, forwarded bool
 	}
 	dl, hasDL := deadlineOf(ctx, req)
 
-	// Warm fast path: the request's resolved identity has been seen before,
-	// so its fingerprint — and usually its fully encoded reply — are
-	// memoized. A hit skips parse, canonicalize, hash and marshal: the
-	// request becomes a lock-brief lookup plus one Write.
-	var mkey [memoKeySize]byte
-	haveMemo := false
-	if s.memo != nil && req.Source != "" {
-		mkey = memoKey(spec, seed, day, req.Source)
-		haveMemo = true
-		if fp, ok := s.memo.get(mkey); ok {
-			if hasDL && time.Until(dl) <= 0 {
-				return nil, &shedError{status: http.StatusGatewayTimeout,
-					msg: "deadline exhausted before compilation started"}
-			}
-			if resp, ok := s.resp.get(fp, req.Tag); ok {
-				s.memHits.Add(1)
-				return resp, nil
-			}
-			if art, ok := s.cache.Get(fp); ok {
-				// Known fingerprint, artifact in memory, but no encoded reply
-				// under this tag yet: build and remember one.
-				s.memHits.Add(1)
-				resp := s.response(req, art, TierMem, false)
-				s.remember(mkey, fp, resp)
-				return resp, nil
-			}
-			// The artifact aged out of memory: fall through to the full
-			// cascade (disk → ring → solve), which re-derives everything.
+	// One lookup sequence: memo → entry → parse + fingerprint → entry →
+	// disk → ring → singleflight. A request identity seen before is
+	// memoized to its fingerprint, so a warm repeat skips parse,
+	// canonicalize, hash and marshal: a lock-brief lookup plus one Write.
+	mkey := memoKey(spec, seed, day, req.Source)
+	if fp, ok := s.cache.memoGet(mkey); ok {
+		if hasDL && time.Until(dl) <= 0 {
+			return nil, &shedError{status: http.StatusGatewayTimeout,
+				msg: "deadline exhausted before compilation started"}
+		}
+		if resp, ok := s.memHit(fp, req.Tag); ok {
+			return resp, nil
 		}
 	}
 
@@ -752,12 +742,8 @@ func (s *Server) compile(ctx context.Context, req CompileRequest, forwarded bool
 	// Fingerprint canonicalizes internally; the cold path canonicalizes
 	// again inside Artifact, but the hot path pays for exactly one pass.
 	fp := eng.Fingerprint(circ)
-	if art, ok := s.cache.Get(fp); ok {
-		s.memHits.Add(1)
-		resp := s.response(req, art, TierMem, false)
-		if haveMemo {
-			s.remember(mkey, fp, resp)
-		}
+	if resp, ok := s.memHit(fp, req.Tag); ok {
+		s.cache.memoPut(mkey, fp)
 		return resp, nil
 	}
 	if s.store != nil {
@@ -765,14 +751,9 @@ func (s *Server) compile(ctx context.Context, req CompileRequest, forwarded bool
 			s.diskHits.Add(1)
 			// Promote into the memory tier: repeated hits on a restarted
 			// daemon pay the decode exactly once.
-			s.cache.Put(fp, art)
-			resp := s.response(req, art, TierDisk, false)
-			if haveMemo {
-				// The reply the *next* identical request gets is a mem hit:
-				// cache that steady-state form, return the honest disk one.
-				s.remember(mkey, fp, s.response(req, art, TierMem, false))
-			}
-			return resp, nil
+			s.remember(fp, art)
+			s.cache.memoPut(mkey, fp)
+			return s.response(req.Tag, art, TierDisk, false), nil
 		}
 	}
 	if s.ring != nil && !forwarded {
@@ -790,7 +771,7 @@ func (s *Server) compile(ctx context.Context, req CompileRequest, forwarded bool
 				br.Report(perr == nil || isPeerClientError(perr), time.Now())
 				if perr == nil {
 					s.peerHits.Add(1)
-					s.rememberPeer(mkey, fp, haveMemo, req.Tag, resp)
+					s.rememberPeer(mkey, fp, resp)
 					return resp, nil
 				}
 				// Owner unreachable (or failing): compute locally rather
@@ -807,57 +788,62 @@ func (s *Server) compile(ctx context.Context, req CompileRequest, forwarded bool
 	if err != nil {
 		return nil, err
 	}
-	resp := s.response(req, art, TierCold, shared)
+	s.cache.memoPut(mkey, fp)
+	resp := s.response(req.Tag, art, TierCold, shared)
 	resp.Degraded = degraded
-	if haveMemo && !degraded {
-		s.remember(mkey, fp, s.response(req, art, TierMem, false))
-	}
 	return resp, nil
 }
 
-// remember publishes a steady-state reply into the warm fast path: the
-// request identity is memoized to its fingerprint and the fully encoded
-// response is cached under (fingerprint, tag). resp must carry mem-tier
-// provenance (the tier a repeat request will actually be served from) and
-// is shared from here on — callers must not mutate it afterwards.
-func (s *Server) remember(mkey [memoKeySize]byte, fp string, resp *CompileResponse) {
-	if s.memo == nil || resp.Degraded {
-		return
+// memHit serves fp from the memory tier: its encoded steady-state reply,
+// built from the artifact on first use, with the request's tag spliced in.
+func (s *Server) memHit(fp, tag string) (*CompileResponse, bool) {
+	reply, art := s.cache.lookup(fp)
+	if reply == nil {
+		if art == nil {
+			return nil, false
+		}
+		reply = s.remember(fp, art)
 	}
-	if err := encodeResponse(resp); err != nil {
-		return
-	}
-	s.memo.put(mkey, fp)
-	s.resp.put(resp)
+	s.memHits.Add(1)
+	return withTag(reply, tag), true
 }
 
-// rememberPeer handles the proxied-reply variant of remember. The identity
-// memo is always safe (content addressing is fleet-global), but replicating
-// the reply bytes on a non-owner is reserved for fingerprints that keep
-// getting peer-served (peerPromoteHits): the first hit stays a pure proxy,
-// so cold keys don't bloat the local tier and provenance stays honest, while
-// hot keys stop paying the ring hop. The cached copy is rewritten to the
-// local steady state — a mem-tier cache hit — because that is what it
-// becomes the moment it lands in the response tier.
-func (s *Server) rememberPeer(mkey [memoKeySize]byte, fp string, haveMemo bool, tag string, resp *CompileResponse) {
-	if s.memo == nil || !haveMemo || resp.Degraded || resp.Fingerprint != fp {
+// remember publishes art to the memory tier with its steady-state reply — the
+// mem-tier answer a repeat request gets — and returns that reply, which is
+// shared from here on.
+func (s *Server) remember(fp string, art *pipeline.CompiledArtifact) *CompileResponse {
+	reply := s.response("", art, TierMem, false)
+	// An artifact that does not encode (a non-finite metric) keeps no
+	// encoded bytes; the HTTP layer then reports the marshal error.
+	_ = encodeResponse(reply)
+	s.cache.put(fp, art, reply)
+	return reply
+}
+
+// peerPromoteHits is the peer-served count at which a non-owner starts
+// answering a fingerprint from its own memory tier.
+const peerPromoteHits = 2
+
+// rememberPeer counts a proxied reply against fp's entry. The first peer
+// hit stays a pure proxy, so cold keys don't bloat the local tier and
+// provenance stays honest; from the second on, the key has proven hot and
+// the reply is kept, rewritten to the local steady state — a mem-tier cache
+// hit — so further hits skip the ring hop.
+func (s *Server) rememberPeer(mkey [memoKeySize]byte, fp string, resp *CompileResponse) {
+	if resp.Degraded || resp.Fingerprint != fp {
 		return
 	}
-	s.memo.put(mkey, fp)
-	if s.heat.bump(fp) < peerPromoteHits {
+	if s.cache.peerHit(fp, mkey) < peerPromoteHits {
 		return
 	}
-	proto := *resp
-	proto.Tier = TierMem
-	proto.PeerTier = ""
-	proto.Cached = true
-	proto.Collapsed = false
-	proto.Tag = tag
-	proto.encoded = nil
-	if err := encodeResponse(&proto); err != nil {
+	reply := *resp
+	reply.Tier, reply.PeerTier, reply.Tag = TierMem, "", ""
+	reply.Cached, reply.Collapsed = true, false
+	reply.encoded = nil
+	if err := encodeResponse(&reply); err != nil {
 		return
 	}
-	s.resp.put(&proto)
+	s.cache.put(fp, nil, &reply)
 }
 
 // breaker returns (lazily creating) the circuit breaker for one ring peer.
@@ -1133,7 +1119,7 @@ func (s *Server) coldCompile(circ *circuit.Circuit, fp string, eng *pipeline.Pip
 		// unhurried request computes (and caches) the real thing.
 		return art, true, nil
 	}
-	s.cache.Put(fp, art)
+	s.remember(fp, art)
 	if s.store != nil {
 		// Best-effort spill: a full disk must not fail the compile the
 		// solver just paid for. Failures are counted, not hidden.
@@ -1144,13 +1130,13 @@ func (s *Server) coldCompile(circ *circuit.Circuit, fp string, eng *pipeline.Pip
 	return art, false, nil
 }
 
-func (s *Server) response(req CompileRequest, art *pipeline.CompiledArtifact, tier string, collapsed bool) *CompileResponse {
+func (s *Server) response(tag string, art *pipeline.CompiledArtifact, tier string, collapsed bool) *CompileResponse {
 	resp := &CompileResponse{
 		Fingerprint:     art.Fingerprint,
 		Cached:          tier == TierMem || tier == TierDisk,
 		Tier:            tier,
 		Collapsed:       collapsed,
-		Tag:             req.Tag,
+		Tag:             tag,
 		Device:          art.Device,
 		Seed:            art.Seed,
 		Day:             art.Day,
@@ -1257,7 +1243,7 @@ func (s *Server) Stats() Stats {
 		Epoch:         epoch,
 		EpochFlips:    s.epochFlips.Load(),
 		Cache:         s.cache.Stats(),
-		RespCache:     s.respCacheStats(),
+		RespCache:     s.cache.respStats(),
 		Devices:       devices,
 		Text:          s.StatsString(),
 	}
@@ -1291,19 +1277,6 @@ func (s *Server) Stats() Stats {
 	return st
 }
 
-// respCacheStats snapshots the response tier (zero-valued when disabled).
-func (s *Server) respCacheStats() RespCacheStats {
-	if s.resp == nil {
-		return RespCacheStats{}
-	}
-	st := s.resp.stats()
-	st.MemoEntries = s.memo.len()
-	s.memo.mu.Lock()
-	st.MemoHits, st.MemoMisses = s.memo.hits, s.memo.misses
-	s.memo.mu.Unlock()
-	return st
-}
-
 // StatsString renders the service statistics: the per-device pipeline stage
 // tables (cold compiles only — hits never touch a stage), the cache and
 // hit-tier counters, and — when configured — the disk tier, epoch and ring
@@ -1326,18 +1299,14 @@ func (s *Server) StatsString() string {
 		fmt.Fprintf(&sb, "device %s:\n", k)
 		sb.WriteString(engines[i].StatsString())
 	}
-	cs := s.cache.Stats()
-	fmt.Fprintf(&sb, "cache: %d hits  %d misses  %d collapsed  %d inflight  %d solves  %d entries  %d/%d bytes  %d evictions\n",
+	cs, rs := s.cache.Stats(), s.cache.respStats()
+	fmt.Fprintf(&sb, "cache: %d hits  %d misses  %d collapsed  %d inflight  %d solves  %d entries  %d/%d bytes  %d evictions  (replies: %d hits  %d misses; memo: %d keys  %d hits  %d misses)\n",
 		cs.Hits, cs.Misses, s.collapsed.Load(), s.inflight.Load(), s.solves.Load(),
-		cs.Entries, cs.Bytes, cs.MaxBytes, cs.Evictions)
+		cs.Entries, cs.Bytes, cs.MaxBytes, cs.Evictions,
+		rs.Hits, rs.Misses, rs.MemoEntries, rs.MemoHits, rs.MemoMisses)
 	fmt.Fprintf(&sb, "tiers: %d mem  %d disk  %d peer  %d cold solves  (%d peer fallbacks, %d proxied in)\n",
 		s.memHits.Load(), s.diskHits.Load(), s.peerHits.Load(), s.solves.Load(),
 		s.peerFallbacks.Load(), s.proxiedIn.Load())
-	if rc := s.respCacheStats(); s.resp != nil {
-		fmt.Fprintf(&sb, "respcache: %d entries  %d/%d bytes  %d hits  %d misses  %d evictions  (memo: %d entries  %d hits  %d misses)\n",
-			rc.Entries, rc.Bytes, rc.MaxBytes, rc.Hits, rc.Misses, rc.Evictions,
-			rc.MemoEntries, rc.MemoHits, rc.MemoMisses)
-	}
 	if s.store != nil {
 		ss := s.store.Stats()
 		fmt.Fprintf(&sb, "store: %d entries  %d/%d bytes  %d hits  %d misses  %d writes  %d evictions  %d quarantined  (%s)\n",
@@ -1525,6 +1494,48 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	writeRawJSON(w, status, buf.Bytes())
 	jsonBufPool.Put(buf)
 }
+
+// encodeResponse fills resp.encoded with the canonical wire form: the exact
+// bytes json.Encoder would have written, trailing newline included, so
+// clients cannot tell a replayed reply from a freshly marshalled one.
+func encodeResponse(resp *CompileResponse) error {
+	b, err := json.Marshal(resp)
+	if err != nil {
+		return err
+	}
+	resp.encoded = append(b, '\n')
+	return nil
+}
+
+// withTag returns the shared tag-free reply answering a request with tag:
+// the reply itself for an untagged request, else a copy with the tag set
+// and spliced into its encoded bytes.
+func withTag(reply *CompileResponse, tag string) *CompileResponse {
+	if tag == "" {
+		return reply
+	}
+	r := *reply
+	r.Tag = tag
+	r.encoded = nil
+	if at := bytes.Index(reply.encoded, deviceField); at > 0 {
+		// json.Marshal writes the tag right before "device", the next
+		// field, and a tag-free steady-state reply holds no field before
+		// it that could contain that text: a fingerprint, a bool and a
+		// tier name.
+		q, _ := json.Marshal(tag) // a string always marshals
+		b := make([]byte, 0, len(reply.encoded)+len(tagField)+len(q))
+		b = append(b, reply.encoded[:at]...)
+		b = append(b, tagField...)
+		b = append(b, q...)
+		r.encoded = append(b, reply.encoded[at:]...)
+	}
+	return &r
+}
+
+var (
+	deviceField = []byte(`,"device":`)
+	tagField    = []byte(`,"tag":`)
+)
 
 func writeRawJSON(w http.ResponseWriter, status int, body []byte) {
 	h := w.Header()

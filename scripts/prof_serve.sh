@@ -2,7 +2,7 @@
 # prof_serve.sh — measure-first profiling harness for the serving warm path.
 #
 # Runs BenchmarkServeMemHit (a real net/http round trip against the
-# fingerprint memo + encoded-response tier) under the Go CPU and heap
+# memory tier's fingerprint memo and encoded replies) under the Go CPU and heap
 # profilers, then prints
 #
 #   1. the benchmark line (ns/op, B/op, allocs/op — the allocation budget
