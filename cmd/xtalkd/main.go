@@ -91,7 +91,6 @@ func main() {
 		drainTO   = flag.Duration("drain-timeout", 30*time.Second, "graceful drain bound on SIGTERM: max wait for in-flight requests before forcing shutdown")
 		faults    = flag.String("faults", "", "deterministic fault-injection plan, e.g. seed=7,solve.delay=200ms,peer.blackhole=1 (see internal/faultinject)")
 		respMB    = flag.Int64("resp-cache-mb", serve.DefaultRespCacheBytes>>20, "reply share of the memory-tier budget in MiB, added to -cache-mb (negative = 0)")
-		idleConns = flag.Int("peer-idle-conns", serve.DefaultPeerIdleConns, "kept-alive connections per ring peer in the proxy/transfer transport")
 		noPrewarm = flag.Bool("no-prewarm", false, "disable the join/epoch-flip artifact prewarm engine")
 		pprofAddr = flag.String("pprof", "", "serve net/http/pprof on this side address (e.g. localhost:6060; empty = off)")
 		quiet     = flag.Bool("quiet", false, "suppress the per-request access log (benchmark runs: formatting 6k lines/s costs real throughput)")
@@ -141,7 +140,6 @@ func main() {
 		BreakerFailures: *brkFails,
 		BreakerCooldown: *brkCool,
 		RespCacheBytes:  *respMB << 20,
-		PeerIdleConns:   *idleConns,
 		DisablePrewarm:  *noPrewarm,
 	}
 	var injector *faultinject.Injector

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"net"
@@ -49,8 +50,20 @@ func TestDiskTierRestartServesWithoutSolver(t *testing.T) {
 	s1.Close()
 
 	// "Restart": a brand-new server process state over the same directory.
-	s2 := newDiskServer(t, dir)
-	s2.solveHook = func() { t.Fatal("restarted daemon invoked the solver for a stored fingerprint") }
+	s2, err := New(Config{
+		Spec:     "poughkeepsie",
+		Seed:     1,
+		StoreDir: dir,
+		Pipeline: pipeline.Config{Budget: 5 * time.Second},
+		SolveHook: func(context.Context) error {
+			t.Fatal("restarted daemon invoked the solver for a stored fingerprint")
+			return nil
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(s2.Close)
 	warm := compileOK(t, s2, CompileRequest{Source: testQASM})
 	if warm.Tier != TierDisk || !warm.Cached {
 		t.Fatalf("restart compile tier %q cached %v, want disk hit", warm.Tier, warm.Cached)

@@ -8,6 +8,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -131,7 +132,7 @@ func TestPeerPromotionOnSecondHit(t *testing.T) {
 	if _, ok := a.srv.cache.Get(fp); ok {
 		t.Fatal("Cache.Get returned an artifact for a peer-replicated reply")
 	}
-	if _, ok := a.srv.heldFingerprints()[fp]; ok {
+	if slices.Contains(a.srv.transferKeys(), fp) {
 		t.Fatal("prewarm counts a peer-replicated reply as held")
 	}
 	resp, err := http.Get(a.http.URL + "/artifacts/index")

@@ -82,20 +82,24 @@ func (s *Server) prewarmLoop(reason string) {
 // prewarmRun executes one pass over every ring peer.
 func (s *Server) prewarmRun(reason string) {
 	start := time.Now()
-	held := s.heldFingerprints()
-	now := time.Now()
-	for _, peer := range s.ring.Nodes() {
-		if peer == s.ring.Self() {
-			continue
+	// Nothing a local tier already holds needs pulling.
+	held := map[string]struct{}{}
+	for _, fp := range s.transferKeys() {
+		held[fp] = struct{}{}
+	}
+	for _, node := range s.ring.Nodes() {
+		p, ok := s.peers[node]
+		if !ok {
+			continue // this daemon
 		}
 		if s.ctx.Err() != nil {
 			break
 		}
-		if br := s.breaker(peer).Snapshot(now); br.State == BreakerOpen {
+		if p.breaker.Snapshot(start).State == BreakerOpen {
 			s.prewarmBreakerSkips.Add(1)
 			continue
 		}
-		index, err := s.fetchPeerIndex(s.ctx, peer)
+		index, err := s.fetchPeerIndex(s.ctx, p)
 		if err != nil {
 			s.prewarmPeerErrors.Add(1)
 			continue
@@ -116,7 +120,7 @@ func (s *Server) prewarmRun(reason string) {
 				batch = batch[:bulkBatchSize]
 			}
 			want = want[len(batch):]
-			admitted, skipped, err := s.fetchPeerArtifacts(s.ctx, peer, batch, func(fp string, art *pipeline.CompiledArtifact) {
+			admitted, skipped, err := s.fetchPeerArtifacts(s.ctx, p, batch, func(fp string, art *pipeline.CompiledArtifact) {
 				s.admitPrewarmed(fp, art)
 				held[fp] = struct{}{}
 			})
@@ -133,21 +137,6 @@ func (s *Server) prewarmRun(reason string) {
 	s.prewarmLastMS = float64(time.Since(start)) / float64(time.Millisecond)
 	s.prewarmMu.Unlock()
 	s.prewarmRuns.Add(1)
-}
-
-// heldFingerprints is the set of fingerprints already present in a local
-// tier — nothing in it needs pulling.
-func (s *Server) heldFingerprints() map[string]struct{} {
-	held := map[string]struct{}{}
-	for _, fp := range s.cache.Keys() {
-		held[fp] = struct{}{}
-	}
-	if s.store != nil {
-		for _, fp := range s.store.Keys() {
-			held[fp] = struct{}{}
-		}
-	}
-	return held
 }
 
 // admitPrewarmed publishes one verified artifact to the local tiers, the

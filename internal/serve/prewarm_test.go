@@ -140,12 +140,15 @@ func TestPrewarmOnJoinServesWithoutSolver(t *testing.T) {
 		Peers:    []string{addrs[0]},
 		StoreDir: dirB,
 		Pipeline: pipeline.Config{Budget: 5 * time.Second},
+		SolveHook: func(context.Context) error {
+			t.Error("joined node invoked the solver for a prewarmed fingerprint")
+			return nil
+		},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(b.Close)
-	b.solveHook = func() { t.Error("joined node invoked the solver for a prewarmed fingerprint") }
 	startOn(t, b, lB)
 
 	pw := waitPrewarm(t, b, 1)

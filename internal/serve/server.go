@@ -71,10 +71,10 @@ type Config struct {
 	// queueing unboundedly. 0 selects 4x MaxConcurrent; negative means no
 	// waiting room at all.
 	MaxQueue int
-	// PeerTimeout bounds one proxy attempt to a ring peer, including
-	// response headers (DefaultPeerTimeout when 0). A hung peer costs at
-	// most this long per attempt before the breaker and local fallback
-	// take over.
+	// PeerTimeout bounds one round trip to a ring peer (a proxy attempt,
+	// a prewarm index fetch or bulk pull), including response headers
+	// (DefaultPeerTimeout when 0). A hung peer costs at most this long per
+	// attempt before the breaker and local fallback take over.
 	PeerTimeout time.Duration
 	// PeerRetries is the number of additional proxy attempts after the
 	// first fails retryably (transport error or peer 5xx), each preceded
@@ -88,14 +88,9 @@ type Config struct {
 	// peer stays down. Zero values select the package defaults.
 	BreakerFailures int
 	BreakerCooldown time.Duration
-	// PeerIdleConns sizes the peer transport's per-host keep-alive pool
-	// (DefaultPeerIdleConns when 0). Proxied hits are sub-millisecond once
-	// warm, so connection churn — not bandwidth — is the peer path's tax;
-	// the pool should cover the expected concurrent proxy fan-in per peer.
-	PeerIdleConns int
 	// PeerTransport overrides the peer-proxy HTTP transport. Fault
 	// injection (internal/faultinject) wraps NewPeerTransport here; nil
-	// selects NewPeerTransportPool(PeerTimeout, PeerIdleConns).
+	// selects NewPeerTransport(PeerTimeout).
 	PeerTransport http.RoundTripper
 	// DisablePrewarm turns off the join/epoch-flip prewarm engine (tests
 	// and single-purpose tooling; production fleets want it on).
@@ -120,36 +115,27 @@ const DefaultPeerTimeout = 15 * time.Second
 // one round trip; only a blackholed one needs the full timeout.
 const peerDialTimeout = 2 * time.Second
 
-// DefaultPeerIdleConns sizes the peer transport's per-host keep-alive pool
-// when the configuration does not. Warm proxied hits finish in well under a
-// millisecond, so every new dial on the peer path costs more than the
-// request it carries; the pool covers a heavily concurrent proxy fan-in so
-// steady-state peer traffic reuses connections instead of churning them.
-const DefaultPeerIdleConns = 64
+// peerIdleConns sizes the peer transport's per-host keep-alive pool. Warm
+// proxied hits finish in well under a millisecond, so every new dial on the
+// peer path costs more than the request it carries; the pool covers a
+// heavily concurrent proxy fan-in so steady-state peer traffic reuses
+// connections instead of churning them.
+const peerIdleConns = 64
 
 // NewPeerTransport returns the default peer-proxy transport: bounded dial,
 // TLS handshake and response-header waits, so a hung or dead peer is
 // detected at the transport layer instead of pinning the request until the
 // server's write timeout. headerTimeout <= 0 selects DefaultPeerTimeout.
 func NewPeerTransport(headerTimeout time.Duration) http.RoundTripper {
-	return NewPeerTransportPool(headerTimeout, 0)
-}
-
-// NewPeerTransportPool is NewPeerTransport with an explicit per-host
-// keep-alive pool size (DefaultPeerIdleConns when idleConns <= 0).
-func NewPeerTransportPool(headerTimeout time.Duration, idleConns int) http.RoundTripper {
 	if headerTimeout <= 0 {
 		headerTimeout = DefaultPeerTimeout
-	}
-	if idleConns <= 0 {
-		idleConns = DefaultPeerIdleConns
 	}
 	return &http.Transport{
 		DialContext:           (&net.Dialer{Timeout: peerDialTimeout, KeepAlive: 30 * time.Second}).DialContext,
 		TLSHandshakeTimeout:   peerDialTimeout,
 		ResponseHeaderTimeout: headerTimeout,
-		MaxIdleConns:          4 * idleConns,
-		MaxIdleConnsPerHost:   idleConns,
+		MaxIdleConns:          4 * peerIdleConns,
+		MaxIdleConnsPerHost:   peerIdleConns,
 		IdleConnTimeout:       90 * time.Second,
 	}
 }
@@ -293,9 +279,12 @@ type Stats struct {
 	Breakers      map[string]BreakerStats `json:"breakers,omitempty"`
 	ProxiedIn     int64                   `json:"proxied_in"`
 	StoreErrors   int64                   `json:"store_errors,omitempty"`
-	// PeerConns is the per-peer connection-reuse split for proxy traffic:
-	// Dialed counts round trips that paid a fresh TCP connect, Reused those
-	// served off the keep-alive pool. A healthy warm fleet is ~all reuse.
+	// PeerConns is the per-peer connection-reuse split over every round
+	// trip to that peer (proxies, prewarm index and bulk transfer): Dialed
+	// counts round trips that paid a fresh TCP connect, Reused those served
+	// off the keep-alive pool. A healthy warm fleet is ~all reuse. Like
+	// Breakers, it lists every ring peer from startup (nil in single-node
+	// mode).
 	PeerConns map[string]PeerConnStats `json:"peer_conns,omitempty"`
 	// Prewarm is the join/epoch-flip warm-up engine (nil in single-node
 	// mode).
@@ -314,8 +303,8 @@ type Stats struct {
 	RespCache RespCacheStats `json:"resp_cache"`
 	Store     *StoreStats    `json:"store,omitempty"`
 	Devices   []string       `json:"devices"`
-	// Text is the human-readable rendering (pipeline stage table + tier and
-	// cache counters), the same string StatsString returns.
+	// Text is the human-readable rendering: the pipeline stage tables plus
+	// the tier and cache counters of this same snapshot.
 	Text string `json:"text"`
 }
 
@@ -335,10 +324,10 @@ type Server struct {
 	admit   *core.SolvePool
 	started time.Time
 
-	// peerConns tracks the per-peer dialed-vs-reused connection split for
-	// proxy round trips (lazily created per peer).
-	peerConnMu sync.Mutex
-	peerConns  map[string]*peerConnCounters
+	// peers holds one record per other ring member, built in New from the
+	// immutable ring and never written after, so it is read without a lock
+	// (nil in single-node mode).
+	peers map[string]*peer
 
 	// Prewarm engine state: at most one run in flight, a trigger during a
 	// run coalesces into one pending follow-up.
@@ -352,14 +341,6 @@ type Server struct {
 	prewarmSkipped      atomic.Int64
 	prewarmPeerErrors   atomic.Int64
 	prewarmBreakerSkips atomic.Int64
-
-	// breakers holds one circuit breaker per ring peer (lazily created).
-	breakerMu sync.Mutex
-	breakers  map[string]*Breaker
-
-	// jitterMu guards jitter's unseeded source (proxy retry backoff).
-	jitterMu sync.Mutex
-	jitter   *rand.Rand
 
 	// draining is the graceful-shutdown latch: once set, new compiles are
 	// rejected with 503 + Retry-After while in-flight ones finish. active
@@ -395,35 +376,23 @@ type Server struct {
 	shed          atomic.Int64 // requests rejected by admission control
 	degraded      atomic.Int64 // compiles whose budget a caller deadline capped
 	epochFlips    atomic.Int64
-
-	// solveHook, when set (tests), runs at the start of every underlying
-	// cold compile, before the solver is invoked.
-	solveHook func()
 }
 
 // PeerConnStats is the /stats rendering of one peer's connection-reuse
-// split on the proxy path.
+// split.
 type PeerConnStats struct {
 	Dialed int64 `json:"dialed"`
 	Reused int64 `json:"reused"`
 }
 
-type peerConnCounters struct {
-	dialed atomic.Int64
-	reused atomic.Int64
-}
-
-// connCounters returns (lazily creating) the connection counters for one
-// ring peer.
-func (s *Server) connCounters(peer string) *peerConnCounters {
-	s.peerConnMu.Lock()
-	defer s.peerConnMu.Unlock()
-	c, ok := s.peerConns[peer]
-	if !ok {
-		c = &peerConnCounters{}
-		s.peerConns[peer] = c
-	}
-	return c
+// peer is one ring member as seen from this daemon: its circuit breaker
+// (fed by the proxy path only) and the dialed-vs-reused split of every
+// round trip peerCall makes to it.
+type peer struct {
+	addr    string
+	breaker *Breaker
+	dialed  atomic.Int64
+	reused  atomic.Int64
 }
 
 // New builds a Server and its default-device pipeline (so a misconfigured
@@ -459,21 +428,18 @@ func New(cfg Config) (*Server, error) {
 	}
 	transport := cfg.PeerTransport
 	if transport == nil {
-		transport = NewPeerTransportPool(cfg.PeerTimeout, cfg.PeerIdleConns)
+		transport = NewPeerTransport(cfg.PeerTimeout)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	s := &Server{
-		cfg:       cfg,
-		cache:     NewCache(memoryBudget(cfg)),
-		client:    &http.Client{Transport: transport},
-		admit:     core.NewSolvePool(cfg.MaxConcurrent),
-		started:   time.Now(),
-		ctx:       ctx,
-		cancel:    cancel,
-		engines:   map[string]*pipeline.Pipeline{},
-		breakers:  map[string]*Breaker{},
-		peerConns: map[string]*peerConnCounters{},
-		jitter:    rand.New(rand.NewSource(time.Now().UnixNano())),
+		cfg:     cfg,
+		cache:   NewCache(memoryBudget(cfg)),
+		client:  &http.Client{Transport: transport},
+		admit:   core.NewSolvePool(cfg.MaxConcurrent),
+		started: time.Now(),
+		ctx:     ctx,
+		cancel:  cancel,
+		engines: map[string]*pipeline.Pipeline{},
 	}
 	s.defKey = engineKey(cfg.Spec, cfg.Seed, cfg.Day)
 	eng, err := s.engine(cfg.Spec, cfg.Seed, cfg.Day)
@@ -503,6 +469,12 @@ func New(cfg Config) (*Server, error) {
 	}
 	if len(cfg.Peers) > 0 {
 		s.ring = NewRing(cfg.Self, cfg.Peers)
+		s.peers = map[string]*peer{}
+		for _, node := range s.ring.Nodes() {
+			if node != cfg.Self {
+				s.peers[node] = &peer{addr: node, breaker: newBreaker(cfg.BreakerFailures, cfg.BreakerCooldown)}
+			}
+		}
 		// A joining node owns fingerprints it has never seen: pull them from
 		// peers' tiers in the background before traffic asks for them.
 		s.triggerPrewarm("join")
@@ -758,17 +730,17 @@ func (s *Server) compile(ctx context.Context, req CompileRequest, forwarded bool
 	}
 	if s.ring != nil && !forwarded {
 		if owner := s.ring.Owner(fp); owner != s.ring.Self() {
-			br := s.breaker(owner)
-			if !br.Allow(time.Now()) {
+			p := s.peers[owner]
+			if !p.breaker.Allow(time.Now()) {
 				// Breaker open: skip the doomed proxy and its timeout tax;
 				// the owner will be probed again after the cooldown.
 				s.breakerShorts.Add(1)
 				s.peerFallbacks.Add(1)
 			} else {
-				resp, perr := s.proxyCompile(ctx, owner, req, spec, seed, day, dl, hasDL)
+				resp, perr := s.proxyCompile(ctx, p, req, spec, seed, day, dl, hasDL)
 				// A peer that answers with a client-side 4xx is healthy —
 				// only transport failures and 5xx count against the breaker.
-				br.Report(perr == nil || isPeerClientError(perr), time.Now())
+				p.breaker.Report(perr == nil || isPeerClientError(perr), time.Now())
 				if perr == nil {
 					s.peerHits.Add(1)
 					s.rememberPeer(mkey, fp, resp)
@@ -846,18 +818,6 @@ func (s *Server) rememberPeer(mkey [memoKeySize]byte, fp string, resp *CompileRe
 	s.cache.put(fp, nil, &reply)
 }
 
-// breaker returns (lazily creating) the circuit breaker for one ring peer.
-func (s *Server) breaker(owner string) *Breaker {
-	s.breakerMu.Lock()
-	defer s.breakerMu.Unlock()
-	b, ok := s.breakers[owner]
-	if !ok {
-		b = newBreaker(s.cfg.BreakerFailures, s.cfg.BreakerCooldown)
-		s.breakers[owner] = b
-	}
-	return b
-}
-
 // peerStatusError is a peer's non-200 answer, preserved with its status so
 // retry and breaker logic can tell client-side rejections (our request was
 // bad — the peer is healthy, retrying is pointless) from server-side
@@ -873,17 +833,11 @@ func (e *peerStatusError) Error() string {
 }
 
 // isPeerClientError reports a peer 4xx: the peer answered, so it is healthy
-// for breaker purposes even though the proxy call failed.
+// for breaker purposes even though the proxy call failed, and retrying is
+// pointless because the request would fail identically.
 func isPeerClientError(err error) bool {
 	var pe *peerStatusError
 	return errors.As(err, &pe) && pe.status >= 400 && pe.status < 500
-}
-
-// retryablePeerError reports whether a failed proxy attempt is worth
-// repeating: transport errors and peer 5xx are; a 4xx will fail identically
-// on every attempt.
-func retryablePeerError(err error) bool {
-	return err != nil && !isPeerClientError(err)
 }
 
 // Proxy retry backoff: full jitter over an exponentially growing cap,
@@ -894,25 +848,14 @@ const (
 )
 
 // backoff sleeps a full-jitter exponential interval before retry attempt
-// `attempt` (1-based), honoring ctx cancellation and never sleeping past the
-// request deadline.
-func (s *Server) backoff(ctx context.Context, attempt int, dl time.Time, hasDL bool) error {
+// `attempt` (1-based), cut short when ctx ends (the proxy path's ctx
+// carries the request deadline, so it never sleeps past it).
+func backoff(ctx context.Context, attempt int) error {
 	cap := peerBackoffBase << (attempt - 1)
 	if cap > peerBackoffMax {
 		cap = peerBackoffMax
 	}
-	s.jitterMu.Lock()
-	d := time.Duration(s.jitter.Int63n(int64(cap) + 1))
-	s.jitterMu.Unlock()
-	if hasDL {
-		if rem := time.Until(dl); d > rem {
-			d = rem
-		}
-	}
-	if d <= 0 {
-		return ctx.Err()
-	}
-	t := time.NewTimer(d)
+	t := time.NewTimer(time.Duration(rand.Int63n(int64(cap) + 1)))
 	defer t.Stop()
 	select {
 	case <-t.C:
@@ -929,14 +872,21 @@ func (s *Server) backoff(ctx context.Context, attempt int, dl time.Time, hasDL b
 // from ours, and the fingerprint must not change in transit. The caller's
 // remaining deadline budget is propagated in the forwarded body so the owner
 // caps its own solve the same way we would.
-func (s *Server) proxyCompile(ctx context.Context, owner string, req CompileRequest, spec string, seed int64, day int, dl time.Time, hasDL bool) (*CompileResponse, error) {
+func (s *Server) proxyCompile(ctx context.Context, p *peer, req CompileRequest, spec string, seed int64, day int, dl time.Time, hasDL bool) (*CompileResponse, error) {
 	req.Device, req.Seed, req.Day = spec, &seed, &day
+	if hasDL {
+		// Every attempt ends by the request deadline, so a slow peer cannot
+		// eat the local-fallback budget.
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithDeadline(ctx, dl)
+		defer cancel()
+	}
 	var lastErr error
 	attempts := 1 + s.cfg.PeerRetries
 	for attempt := 1; attempt <= attempts; attempt++ {
 		if attempt > 1 {
 			s.peerRetries.Add(1)
-			if err := s.backoff(ctx, attempt-1, dl, hasDL); err != nil {
+			if err := backoff(ctx, attempt-1); err != nil {
 				return nil, lastErr
 			}
 		}
@@ -952,12 +902,12 @@ func (s *Server) proxyCompile(ctx context.Context, owner string, req CompileRequ
 				req.DeadlineMS = 1
 			}
 		}
-		resp, err := s.proxyAttempt(ctx, owner, req, dl, hasDL)
+		resp, err := s.proxyAttempt(ctx, p, req)
 		if err == nil {
 			return resp, nil
 		}
 		lastErr = err
-		if !retryablePeerError(err) {
+		if isPeerClientError(err) {
 			return nil, err
 		}
 	}
@@ -965,55 +915,70 @@ func (s *Server) proxyCompile(ctx context.Context, owner string, req CompileRequ
 }
 
 // proxyAttempt is one bounded proxy call to the owner.
-func (s *Server) proxyAttempt(ctx context.Context, owner string, req CompileRequest, dl time.Time, hasDL bool) (*CompileResponse, error) {
+func (s *Server) proxyAttempt(ctx context.Context, p *peer, req CompileRequest) (*CompileResponse, error) {
 	body, err := json.Marshal(req)
 	if err != nil {
 		return nil, err
 	}
-	attemptCtx, cancel := context.WithTimeout(ctx, s.cfg.PeerTimeout)
-	defer cancel()
-	if hasDL && dl.Before(time.Now().Add(s.cfg.PeerTimeout)) {
-		// The request deadline lands before the per-attempt timeout would:
-		// tighten to it so a slow peer cannot eat the local-fallback budget.
-		cancel()
-		attemptCtx, cancel = context.WithDeadline(ctx, dl)
-		defer cancel()
-	}
-	// Classify this round trip as keep-alive reuse or a fresh dial: churn
-	// on the peer path costs more than the proxied request itself, so the
-	// split is first-class telemetry (/stats peer_conns).
-	conns := s.connCounters(owner)
-	attemptCtx = httptrace.WithClientTrace(attemptCtx, &httptrace.ClientTrace{
-		GotConn: func(info httptrace.GotConnInfo) {
-			if info.Reused {
-				conns.reused.Add(1)
-			} else {
-				conns.dialed.Add(1)
-			}
-		},
-	})
-	httpReq, err := http.NewRequestWithContext(attemptCtx, http.MethodPost, peerURL(owner)+"/compile", bytes.NewReader(body))
-	if err != nil {
-		return nil, err
-	}
-	httpReq.Header.Set("Content-Type", "application/json")
-	httpReq.Header.Set(peerHeader, s.ring.Self())
-	httpResp, err := s.client.Do(httpReq)
-	if err != nil {
-		return nil, err
-	}
-	defer httpResp.Body.Close()
-	if httpResp.StatusCode != http.StatusOK {
-		msg, _ := io.ReadAll(io.LimitReader(httpResp.Body, 4096))
-		return nil, &peerStatusError{peer: owner, status: httpResp.StatusCode, body: string(bytes.TrimSpace(msg))}
-	}
 	var resp CompileResponse
-	if err := json.NewDecoder(httpResp.Body).Decode(&resp); err != nil {
-		return nil, fmt.Errorf("peer %s: %w", owner, err)
+	if err := s.peerCall(ctx, p, http.MethodPost, "/compile", body, &resp); err != nil {
+		return nil, err
 	}
 	resp.PeerTier, resp.Tier = resp.Tier, TierPeer
 	resp.Cached = false
 	return &resp, nil
+}
+
+// peerCall is the one round trip to a ring peer that proxying, the prewarm
+// index fetch and bulk transfer all share. It ends the attempt after
+// PeerTimeout, or at ctx's deadline if that comes first; marks the request
+// with this daemon's ring identity; counts the connection on p as dialed or
+// reused; and turns a non-200 reply into a peerStatusError. A 200 body goes
+// to into: streamed to it when into is a func(io.Reader) error, otherwise
+// decoded into it as JSON within readJSONBody's bound.
+func (s *Server) peerCall(ctx context.Context, p *peer, method, path string, body []byte, into any) error {
+	ctx, cancel := context.WithTimeout(ctx, s.cfg.PeerTimeout)
+	defer cancel()
+	// Classify this round trip as keep-alive reuse or a fresh dial: churn
+	// on the peer path costs more than the request it carries, so the split
+	// is first-class telemetry (/stats peer_conns).
+	ctx = httptrace.WithClientTrace(ctx, &httptrace.ClientTrace{
+		GotConn: func(info httptrace.GotConnInfo) {
+			if info.Reused {
+				p.reused.Add(1)
+			} else {
+				p.dialed.Add(1)
+			}
+		},
+	})
+	var rd io.Reader
+	if body != nil {
+		rd = bytes.NewReader(body)
+	}
+	req, err := http.NewRequestWithContext(ctx, method, peerURL(p.addr)+path, rd)
+	if err != nil {
+		return err
+	}
+	if body != nil {
+		req.Header.Set("Content-Type", "application/json")
+	}
+	req.Header.Set(peerHeader, s.ring.Self())
+	resp, err := s.client.Do(req)
+	if err != nil {
+		return err
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
+		return &peerStatusError{peer: p.addr, status: resp.StatusCode, body: string(bytes.TrimSpace(msg))}
+	}
+	if stream, ok := into.(func(io.Reader) error); ok {
+		return stream(resp.Body)
+	}
+	if err := readJSONBody(resp.Body, into); err != nil {
+		return fmt.Errorf("peer %s %s: %w", p.addr, path, err)
+	}
+	return nil
 }
 
 // peerURL turns a ring identity (host:port) into a base URL.
@@ -1083,9 +1048,6 @@ func (s *Server) coldCompile(circ *circuit.Circuit, fp string, eng *pipeline.Pip
 		if err := s.cfg.SolveHook(s.ctx); err != nil {
 			return nil, false, err
 		}
-	}
-	if s.solveHook != nil {
-		s.solveHook()
 	}
 	preq := pipeline.Request{Circuit: circ}
 	degraded := false
@@ -1210,16 +1172,24 @@ func (s *Server) Drain(ctx context.Context) error {
 // (load-balancer) signal, false once draining starts.
 func (s *Server) Ready() bool { return !s.draining.Load() }
 
-// Stats snapshots the service counters.
+// Stats snapshots the service counters. Text renders the same snapshot, so
+// one /stats reply never disagrees with itself.
 func (s *Server) Stats() Stats {
+	// The per-device stage tables (cold compiles only — hits never touch a
+	// stage) are rendered under the same hold that lists the devices.
+	var stages strings.Builder
 	s.mu.Lock()
 	devices := make([]string, 0, len(s.engines))
 	for k := range s.engines {
 		devices = append(devices, k)
 	}
+	sort.Strings(devices)
+	for _, k := range devices {
+		fmt.Fprintf(&stages, "device %s:\n", k)
+		stages.WriteString(s.engines[k].StatsString())
+	}
 	epoch := s.cur
 	s.mu.Unlock()
-	sort.Strings(devices)
 	st := Stats{
 		UptimeS:       time.Since(s.started).Seconds(),
 		Requests:      s.requests.Load(),
@@ -1245,7 +1215,6 @@ func (s *Server) Stats() Stats {
 		Cache:         s.cache.Stats(),
 		RespCache:     s.cache.respStats(),
 		Devices:       devices,
-		Text:          s.StatsString(),
 	}
 	if s.store != nil {
 		ss := s.store.Stats()
@@ -1257,65 +1226,39 @@ func (s *Server) Stats() Stats {
 		pw := s.PrewarmStats()
 		st.Prewarm = &pw
 	}
-	s.peerConnMu.Lock()
-	if len(s.peerConns) > 0 {
-		st.PeerConns = make(map[string]PeerConnStats, len(s.peerConns))
-		for peer, c := range s.peerConns {
-			st.PeerConns[peer] = PeerConnStats{Dialed: c.dialed.Load(), Reused: c.reused.Load()}
-		}
-	}
-	s.peerConnMu.Unlock()
-	s.breakerMu.Lock()
-	if len(s.breakers) > 0 {
+	if len(s.peers) > 0 {
 		now := time.Now()
-		st.Breakers = make(map[string]BreakerStats, len(s.breakers))
-		for peer, b := range s.breakers {
-			st.Breakers[peer] = b.Snapshot(now)
+		st.Breakers = make(map[string]BreakerStats, len(s.peers))
+		st.PeerConns = make(map[string]PeerConnStats, len(s.peers))
+		for addr, p := range s.peers {
+			st.Breakers[addr] = p.breaker.Snapshot(now)
+			st.PeerConns[addr] = PeerConnStats{Dialed: p.dialed.Load(), Reused: p.reused.Load()}
 		}
 	}
-	s.breakerMu.Unlock()
+	st.Text = st.text(stages.String())
 	return st
 }
 
-// StatsString renders the service statistics: the per-device pipeline stage
-// tables (cold compiles only — hits never touch a stage), the cache and
-// hit-tier counters, and — when configured — the disk tier, epoch and ring
+// text renders st after the pipeline stage tables: the cache and hit-tier
+// counters and — when configured — the disk tier, epoch and ring
 // membership.
-func (s *Server) StatsString() string {
-	s.mu.Lock()
-	keys := make([]string, 0, len(s.engines))
-	for k := range s.engines {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	engines := make([]*pipeline.Pipeline, len(keys))
-	for i, k := range keys {
-		engines[i] = s.engines[k]
-	}
-	epoch := s.cur
-	s.mu.Unlock()
+func (st *Stats) text(stages string) string {
 	var sb strings.Builder
-	for i, k := range keys {
-		fmt.Fprintf(&sb, "device %s:\n", k)
-		sb.WriteString(engines[i].StatsString())
-	}
-	cs, rs := s.cache.Stats(), s.cache.respStats()
+	sb.WriteString(stages)
+	cs, rs := st.Cache, st.RespCache
 	fmt.Fprintf(&sb, "cache: %d hits  %d misses  %d collapsed  %d inflight  %d solves  %d entries  %d/%d bytes  %d evictions  (replies: %d hits  %d misses; memo: %d keys  %d hits  %d misses)\n",
-		cs.Hits, cs.Misses, s.collapsed.Load(), s.inflight.Load(), s.solves.Load(),
+		cs.Hits, cs.Misses, st.Collapsed, st.Inflight, st.Solves,
 		cs.Entries, cs.Bytes, cs.MaxBytes, cs.Evictions,
 		rs.Hits, rs.Misses, rs.MemoEntries, rs.MemoHits, rs.MemoMisses)
 	fmt.Fprintf(&sb, "tiers: %d mem  %d disk  %d peer  %d cold solves  (%d peer fallbacks, %d proxied in)\n",
-		s.memHits.Load(), s.diskHits.Load(), s.peerHits.Load(), s.solves.Load(),
-		s.peerFallbacks.Load(), s.proxiedIn.Load())
-	if s.store != nil {
-		ss := s.store.Stats()
+		st.MemHits, st.DiskHits, st.PeerHits, st.Solves, st.PeerFallbacks, st.ProxiedIn)
+	if ss := st.Store; ss != nil {
 		fmt.Fprintf(&sb, "store: %d entries  %d/%d bytes  %d hits  %d misses  %d writes  %d evictions  %d quarantined  (%s)\n",
 			ss.Entries, ss.Bytes, ss.MaxBytes, ss.Hits, ss.Misses, ss.Writes, ss.Evictions, ss.Quarantined, ss.Dir)
 	}
-	fmt.Fprintf(&sb, "epoch: %s  (%d flips)\n", epoch, s.epochFlips.Load())
-	if s.ring != nil {
-		fmt.Fprintf(&sb, "ring: self=%s  nodes=%s\n", s.ring.Self(), strings.Join(s.ring.Nodes(), " "))
-		pw := s.PrewarmStats()
+	fmt.Fprintf(&sb, "epoch: %s  (%d flips)\n", st.Epoch, st.EpochFlips)
+	if pw := st.Prewarm; pw != nil {
+		fmt.Fprintf(&sb, "ring: self=%s  nodes=%s\n", st.Self, strings.Join(st.Ring, " "))
 		fmt.Fprintf(&sb, "prewarm: %d runs  %d admitted  %d skipped  %d peer errors  %d breaker skips\n",
 			pw.Runs, pw.Admitted, pw.Skipped, pw.PeerErrors, pw.BreakerSkips)
 	}

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -135,16 +136,26 @@ func TestDistinctKeysAcrossDeviceDayConfig(t *testing.T) {
 // requests must execute exactly one underlying solve — the acceptance
 // criterion of the serving layer (run under -race in CI).
 func TestSingleflightCollapsesConcurrentRequests(t *testing.T) {
-	s := newTestServer(t)
 	const n = 8
-	// The leader's solve blocks until the other n-1 requests have joined
-	// its flight (or 10s passes), making the collapse deterministic.
-	s.solveHook = func() {
-		deadline := time.Now().Add(10 * time.Second)
-		for s.collapsed.Load() < n-1 && time.Now().Before(deadline) {
-			time.Sleep(time.Millisecond)
-		}
+	var s *Server
+	s, err := New(Config{
+		Spec:     "poughkeepsie",
+		Seed:     1,
+		Pipeline: pipeline.Config{Budget: 5 * time.Second},
+		// The leader's solve blocks until the other n-1 requests have joined
+		// its flight (or 10s passes), making the collapse deterministic.
+		SolveHook: func(context.Context) error {
+			deadline := time.Now().Add(10 * time.Second)
+			for s.collapsed.Load() < n-1 && time.Now().Before(deadline) {
+				time.Sleep(time.Millisecond)
+			}
+			return nil
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
+	t.Cleanup(s.Close)
 	var wg sync.WaitGroup
 	resps := make([]*CompileResponse, n)
 	errs := make([]error, n)
@@ -273,7 +284,12 @@ func TestHTTPEndpoints(t *testing.T) {
 		t.Fatalf("warm repeats bypassed the response tier: %+v", st.RespCache)
 	}
 	if !strings.Contains(st.Text, "cache:") || !strings.Contains(st.Text, "schedule") {
-		t.Fatalf("StatsString missing cache line or stage table:\n%s", st.Text)
+		t.Fatalf("stats text missing cache line or stage table:\n%s", st.Text)
+	}
+	// The text renders the same snapshot as the JSON fields beside it.
+	tiers := fmt.Sprintf("tiers: %d mem  %d disk  %d peer  %d cold solves", st.MemHits, st.DiskHits, st.PeerHits, st.Solves)
+	if !strings.Contains(st.Text, tiers) {
+		t.Fatalf("stats text disagrees with its JSON counters, want %q:\n%s", tiers, st.Text)
 	}
 
 	// Healthz.

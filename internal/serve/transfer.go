@@ -161,24 +161,10 @@ func (s *Server) rawArtifact(fp string) (rawFrame, bool) {
 }
 
 // fetchPeerIndex asks one peer for its transferable-fingerprint list.
-func (s *Server) fetchPeerIndex(ctx context.Context, peer string) ([]string, error) {
-	reqCtx, cancel := context.WithTimeout(ctx, s.cfg.PeerTimeout)
-	defer cancel()
-	httpReq, err := http.NewRequestWithContext(reqCtx, http.MethodGet, peerURL(peer)+"/artifacts/index", nil)
-	if err != nil {
-		return nil, err
-	}
-	resp, err := s.client.Do(httpReq)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, &peerStatusError{peer: peer, status: resp.StatusCode, body: "artifact index"}
-	}
+func (s *Server) fetchPeerIndex(ctx context.Context, p *peer) ([]string, error) {
 	var idx ArtifactIndex
-	if err := readJSONBody(resp.Body, &idx); err != nil {
-		return nil, fmt.Errorf("peer %s: index: %w", peer, err)
+	if err := s.peerCall(ctx, p, http.MethodGet, "/artifacts/index", nil, &idx); err != nil {
+		return nil, err
 	}
 	return idx.Fingerprints, nil
 }
@@ -188,61 +174,53 @@ func (s *Server) fetchPeerIndex(ctx context.Context, peer string) ([]string, err
 // every artifact whose self-check and fingerprint match to admit. Frames
 // that are missing (zero length), corrupt, or misattributed are skipped —
 // skipped and admitted counts come back to the caller.
-func (s *Server) fetchPeerArtifacts(ctx context.Context, peer string, fps []string, admit func(fp string, art *pipeline.CompiledArtifact)) (admitted, skipped int, err error) {
+func (s *Server) fetchPeerArtifacts(ctx context.Context, p *peer, fps []string, admit func(fp string, art *pipeline.CompiledArtifact)) (admitted, skipped int, err error) {
 	if len(fps) > maxBulkRequest {
 		return 0, 0, fmt.Errorf("batch of %d exceeds protocol cap %d", len(fps), maxBulkRequest)
 	}
-	reqCtx, cancel := context.WithTimeout(ctx, s.cfg.PeerTimeout)
-	defer cancel()
-	url := peerURL(peer) + "/artifacts?fps=" + strings.Join(fps, ",")
-	httpReq, err := http.NewRequestWithContext(reqCtx, http.MethodGet, url, nil)
-	if err != nil {
-		return 0, 0, err
-	}
-	resp, err := s.client.Do(httpReq)
-	if err != nil {
-		return 0, 0, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return 0, 0, &peerStatusError{peer: peer, status: resp.StatusCode, body: "bulk artifacts"}
-	}
-	rd := resp.Body
-	var lenBuf [8]byte
-	for _, fp := range fps {
-		if _, err := io.ReadFull(rd, lenBuf[:]); err != nil {
-			return admitted, skipped, fmt.Errorf("peer %s: frame header: %w", peer, err)
+	err = s.peerCall(ctx, p, http.MethodGet, "/artifacts?fps="+strings.Join(fps, ","), nil, func(rd io.Reader) error {
+		var lenBuf [8]byte
+		for _, fp := range fps {
+			if _, err := io.ReadFull(rd, lenBuf[:]); err != nil {
+				return fmt.Errorf("peer %s: frame header: %w", p.addr, err)
+			}
+			n := binary.BigEndian.Uint64(lenBuf[:])
+			if n == 0 {
+				skipped++
+				continue
+			}
+			if n > maxFrameBytes {
+				return fmt.Errorf("peer %s: frame of %d bytes exceeds cap", p.addr, n)
+			}
+			buf := make([]byte, n)
+			if _, err := io.ReadFull(rd, buf); err != nil {
+				return fmt.Errorf("peer %s: frame body: %w", p.addr, err)
+			}
+			art, err := pipeline.DecodeArtifact(buf)
+			if err != nil || art.Fingerprint != fp {
+				// Self-check or attribution failed: the sender's copy is
+				// damaged or lying. Never admit it; a real request will
+				// recompile.
+				skipped++
+				continue
+			}
+			admit(fp, art)
+			admitted++
 		}
-		n := binary.BigEndian.Uint64(lenBuf[:])
-		if n == 0 {
-			skipped++
-			continue
-		}
-		if n > maxFrameBytes {
-			return admitted, skipped, fmt.Errorf("peer %s: frame of %d bytes exceeds cap", peer, n)
-		}
-		buf := make([]byte, n)
-		if _, err := io.ReadFull(rd, buf); err != nil {
-			return admitted, skipped, fmt.Errorf("peer %s: frame body: %w", peer, err)
-		}
-		art, err := pipeline.DecodeArtifact(buf)
-		if err != nil || art.Fingerprint != fp {
-			// Self-check or attribution failed: the sender's copy is damaged
-			// or lying. Never admit it; a real request will recompile.
-			skipped++
-			continue
-		}
-		admit(fp, art)
-		admitted++
-	}
-	return admitted, skipped, nil
+		return nil
+	})
+	return admitted, skipped, err
 }
 
-// readJSONBody decodes one JSON value from r, bounded to 64 MiB.
+// readJSONBody decodes one JSON value from r, bounded to 64 MiB: a longer
+// body is an error, never a truncated or fully buffered read.
 func readJSONBody(r io.Reader, v any) error {
-	b, err := io.ReadAll(io.LimitReader(r, maxFrameBytes))
+	b, err := io.ReadAll(io.LimitReader(r, maxFrameBytes+1))
 	if err != nil {
 		return err
+	}
+	if len(b) > maxFrameBytes {
+		return fmt.Errorf("JSON body exceeds %d bytes", maxFrameBytes)
 	}
 	return json.Unmarshal(b, v)
 }
